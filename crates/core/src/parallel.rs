@@ -30,12 +30,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Number of workers the host can usefully run (`available_parallelism`,
-/// 1 when the query fails).
+/// Number of workers the host can usefully run: the core count that
+/// [`narada_obs::host_cores`] probes once per process (every
+/// `parallel_map` call resolves its thread count).
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    narada_obs::host_cores() as usize
 }
 
 /// Resolves a requested thread count: `0` means "use every core"

@@ -21,6 +21,7 @@
 use crate::json::Json;
 use crate::metrics::MetricValue;
 use crate::Obs;
+use std::sync::OnceLock;
 
 /// Schema tag every manifest carries; bump on breaking layout changes.
 pub const MANIFEST_SCHEMA: &str = "narada-manifest/1";
@@ -46,8 +47,8 @@ pub struct RunManifest {
     pub name: String,
     /// Tool identity, e.g. `narada 0.1.0`.
     pub tool: String,
-    /// Abbreviated git revision of the working tree (`unknown` outside a
-    /// checkout).
+    /// Abbreviated git revision of the working tree at the process's
+    /// first manifest (`unknown` outside a checkout).
     pub git_rev: String,
     /// `available_parallelism` of the recording host.
     pub host_cores: u64,
@@ -61,24 +62,34 @@ pub struct RunManifest {
     pub metrics: Vec<(String, MetricValue)>,
 }
 
-/// The recording host's core count (1 when the query fails).
+/// The recording host's core count (1 when the query fails), probed at
+/// the process's first call: the probe reads cgroup files, and a served
+/// job stamps a manifest per progress frame.
 pub fn host_cores() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1)
+    static CORES: OnceLock<u64> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get() as u64)
+            .unwrap_or(1)
+    })
 }
 
-/// The working tree's abbreviated git revision, or `unknown`.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+/// The working tree's abbreviated git revision at the process's first
+/// manifest, or `unknown`. Resolved once: each resolution spawns `git`,
+/// which would otherwise dominate a served job's wall time.
+pub fn git_rev() -> &'static str {
+    static REV: OnceLock<String> = OnceLock::new();
+    REV.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["rev-parse", "--short=12", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
 }
 
 impl RunManifest {
@@ -88,7 +99,7 @@ impl RunManifest {
         RunManifest {
             name: name.to_string(),
             tool: concat!("narada ", env!("CARGO_PKG_VERSION")).to_string(),
-            git_rev: git_rev(),
+            git_rev: git_rev().to_string(),
             host_cores: host_cores(),
             threads,
             config: Vec::new(),
@@ -419,6 +430,16 @@ mod tests {
         assert!(m.host_cores >= 1);
         assert!(!m.git_rev.is_empty());
         assert!(m.tool.starts_with("narada "));
+    }
+
+    #[test]
+    fn host_identity_is_resolved_once_per_process() {
+        assert!(std::ptr::eq(git_rev(), git_rev()));
+        let (a, b) = (RunManifest::new("a", 1), RunManifest::new("b", 2));
+        assert_eq!(a.git_rev, b.git_rev);
+        assert_eq!(a.git_rev, git_rev());
+        assert_eq!(a.host_cores, b.host_cores);
+        assert_eq!(a.host_cores, host_cores());
     }
 
     #[test]

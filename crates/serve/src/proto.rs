@@ -44,8 +44,9 @@ pub struct JobOptions {
     /// Step budget per concurrent run.
     pub budget: u64,
     /// Worker threads for the job's own pipeline stages (`0` = one per
-    /// core). Results are identical at any value; the server's worker
-    /// pool size is a separate, equally result-neutral knob.
+    /// core, whatever the server's worker count). Results are identical
+    /// at any value; the server's worker pool size is a separate, equally
+    /// result-neutral knob.
     pub threads: usize,
     /// Scheduler family for the detection pass.
     pub strategy: ScheduleStrategy,

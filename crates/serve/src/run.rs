@@ -25,6 +25,7 @@ use narada_obs::{Json, Obs, RunManifest};
 use narada_screen::screen_pairs_with;
 use narada_vm::Engine;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Everything a finished job leaves behind.
 #[derive(Debug)]
@@ -48,7 +49,9 @@ pub struct JobResult {
 /// `narada-manifest/1` snapshot of the job's telemetry so far.
 /// `telemetry`, when present, receives per-stage and whole-job wall-clock
 /// observations into the *server-level* registry — never into the job's
-/// own manifest, which must stay run-invariant.
+/// own manifest, which must stay run-invariant. A stage's clock starts
+/// after the previous stage's frame is published, so stage histograms
+/// time the stage alone, not frame building or the `progress` callback.
 pub fn run_job(
     cache: &Mutex<ArtifactCache>,
     source: &str,
@@ -57,14 +60,14 @@ pub fn run_job(
     telemetry: Option<&ServerTelemetry>,
 ) -> Result<JobResult, String> {
     let obs = Obs::new();
-    let job_start = std::time::Instant::now();
-    let mut stage_start = job_start;
-    let mut stage_done = |stage: &str, now: std::time::Instant| {
+    let job_start = Instant::now();
+    let stage_done = |stage: &str, stage_start: Instant| {
+        let now = Instant::now();
         if let Some(t) = telemetry {
             t.stage_histogram(stage)
                 .observe_duration(now.duration_since(stage_start));
         }
-        stage_start = now;
+        now
     };
 
     // Stage 0: compile through the artifact store. The lock covers only
@@ -89,8 +92,9 @@ pub fn run_job(
         let events = cache.drain_events();
         (lib, code, statics, surface, delta, events)
     };
-    stage_done("compile", std::time::Instant::now());
+    stage_done("compile", job_start);
     progress(stage_frame("compile", opts, &obs).with("cache", cache_json(&compile_delta)));
+    let stage_start = Instant::now();
 
     // Stage 1: synthesis, exactly `run_synthesis`'s shape. The generated
     // path re-derives program and MIR, so it drops the cached bytecode
@@ -142,12 +146,13 @@ pub fn run_job(
         );
         ((*lib.prog).clone(), (*lib.mir).clone(), out)
     };
-    stage_done("synth", std::time::Instant::now());
+    stage_done("synth", stage_start);
     progress(
         stage_frame("synth", opts, &obs)
             .with("pairs", Json::Int(out.pair_count() as i64))
             .with("tests", Json::Int(out.test_count() as i64)),
     );
+    let stage_start = Instant::now();
 
     // Stage 2: exploration + confirmation, exactly `cmd_detect`'s shape.
     let cfg = DetectConfig {
@@ -166,8 +171,7 @@ pub fn run_job(
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
     let (reports, agg) = evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs);
-    let now = std::time::Instant::now();
-    stage_done("detect", now);
+    let now = stage_done("detect", stage_start);
     if let Some(t) = telemetry {
         // Warm iff the program compilation itself was reused: that is the
         // cache temperature that dominates job latency.

@@ -43,7 +43,11 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Bind address; port 0 asks the OS for an ephemeral port.
     pub addr: String,
-    /// Worker-pool size (concurrent jobs). Result-neutral.
+    /// Worker-pool size (concurrent jobs). Result-neutral. A job
+    /// submitted with `threads: 0` still fans out over every core rather
+    /// than `cores / workers`: on a loaded 2-core server that share cut
+    /// the median verdict but lengthened whole passes, since a job could
+    /// no longer borrow a core its neighbour left idle.
     pub workers: usize,
     /// Directory receiving each finished job's `job-N.report` and
     /// `job-N.manifest.json` as it completes, plus the JSONL event log.
@@ -809,13 +813,17 @@ fn handle_fetch(req: &Json, shared: &Shared, writer: &mut TcpStream) -> std::io:
             }
             return write_frame(writer, &resp);
         }
-        // Park until something changes, then re-check.
+        // Park until the job posts a frame not yet sent. The check runs
+        // under the lock, so a frame posted while the previous ones were
+        // being written is not slept through until the timeout.
         let Ok(state) = shared.state.lock() else {
             return write_frame(writer, &error_frame("state poisoned"));
         };
         let _ = shared
             .changed
-            .wait_timeout(state, Duration::from_millis(200))
+            .wait_timeout_while(state, Duration::from_millis(200), |s| {
+                s.jobs[id as usize].events.len() == sent
+            })
             .unwrap();
     }
 }

@@ -6,11 +6,15 @@
 use narada_detect::{evaluate_suite_full, DetectConfig};
 use narada_lang::lower::lower_program;
 use narada_obs::{Json, Obs, RunManifest};
-use narada_serve::{render_report, serve, wait_ready, Client, JobOptions, ServeConfig};
+use narada_serve::{
+    render_report, run_job, serve, wait_ready, ArtifactCache, Client, JobOptions, ServeConfig,
+    ServerTelemetry,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cheap-but-real options: full pipeline, smaller trial counts.
 fn test_opts() -> JobOptions {
@@ -260,6 +264,65 @@ fn fetch_streams_manifest_backed_progress_events() {
         assert_eq!(manifest.name, "serve.job");
     }
     server.stop();
+}
+
+#[test]
+fn stage_histograms_exclude_progress_frames() {
+    // A slow `progress` consumer must not be billed to the stage after
+    // it: each stage's window is bounded by the callback's exit before
+    // it and its entry after it.
+    const SLEEP: Duration = Duration::from_millis(20);
+    let telemetry = ServerTelemetry::new(1, u64::MAX, None);
+    let cache = Mutex::new(ArtifactCache::with_capacity(4));
+    let source = narada_corpus::by_id("C5").expect("C5").source;
+    let mut frames: Vec<(Instant, Instant)> = Vec::new();
+    let mut progress = |_frame: Json| {
+        let entered = Instant::now();
+        std::thread::sleep(SLEEP);
+        frames.push((entered, Instant::now()));
+    };
+    run_job(
+        &cache,
+        source,
+        &test_opts(),
+        &mut progress,
+        Some(&telemetry),
+    )
+    .expect("job");
+    assert_eq!(frames.len(), 3, "one frame per stage");
+    let sum = |stage: &str| Duration::from_nanos(telemetry.stage_histogram(stage).sum());
+    let synth = sum("synth");
+    let detect = sum("detect");
+    assert!(
+        synth <= frames[1].0 - frames[0].1,
+        "synth {synth:?} includes the compile frame"
+    );
+    assert!(
+        detect <= frames[2].0 - frames[1].1,
+        "detect {detect:?} includes the synth frame"
+    );
+    // The job wall still covers the two frames published before it ends.
+    let job = Duration::from_nanos(telemetry.job_histogram(false).sum());
+    assert!(sum("compile") + synth + detect + 2 * SLEEP <= job);
+}
+
+#[test]
+fn served_manifests_stamp_process_identity_once() {
+    let server = TestServer::start(2, true);
+    let state = server.dir.join("state");
+    let opts = test_opts();
+    for id in ["C2", "C5"] {
+        server.run(narada_corpus::by_id(id).expect("corpus").source, &opts);
+    }
+    // Manifests are flushed at completion, before `fetch` reports done.
+    for i in 0..2 {
+        let text = std::fs::read_to_string(state.join(format!("job-{i}.manifest.json")))
+            .unwrap_or_else(|e| panic!("job-{i}.manifest.json missing: {e}"));
+        let manifest = RunManifest::parse(&text).expect("valid manifest");
+        assert_eq!(manifest.git_rev, narada_obs::git_rev(), "job {i}");
+        assert_eq!(manifest.host_cores, narada_obs::host_cores(), "job {i}");
+    }
+    assert_eq!(server.stop(), 2);
 }
 
 #[test]

@@ -12,6 +12,12 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> e2e-bench oracle and generator tests"
+# The benchmark is its own Cargo workspace built against crates/* by
+# path, so the workspace run above does not cover it. Its tests pin the
+# benchmark's composition to the library's oracles.
+cargo test -q --release --offline --manifest-path e2e-bench/Cargo.toml
+
 echo "==> static screener suite"
 cargo test -q -p narada-screen
 

@@ -272,19 +272,26 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
             ..MachineOptions::default()
         },
     );
-    for t in tests {
+    let mut failed = 0;
+    for &t in &tests {
         let mut sink = VecSink::new();
         let name = prog.test(t).name.clone();
         match machine.run_test(t, &mut sink) {
             Ok(()) => println!("test {name}: ok ({} events)", sink.events.len()),
-            Err(e) => println!("test {name}: FAILED — {e}"),
+            Err(e) => {
+                failed += 1;
+                println!("test {name}: FAILED — {e}");
+            }
         }
         if trace {
             let mut renderer = TraceRenderer::new(&prog, &mir);
             println!("{}", renderer.render_all(&sink.events));
         }
     }
-    Ok(())
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{n} of {} test(s) FAILED", tests.len())),
+    }
 }
 
 fn cmd_mir(rest: &[String]) -> Result<(), String> {

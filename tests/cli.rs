@@ -63,7 +63,7 @@ fn run_executes_seed_tests() {
 fn run_reports_failures_without_crashing() {
     let path = write_fixture("fail.mj", "test boom { assert false; }");
     let out = narada(&["run", path.to_str().unwrap()]);
-    assert!(out.status.success());
+    assert_eq!(out.status.code(), Some(1), "a FAILED test fails the run");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FAILED"), "{stdout}");
     assert!(stdout.contains("assertion failed"), "{stdout}");
